@@ -4,7 +4,7 @@ PYTHON ?= python
 # Pool size for the parallel sweep benchmarks (sweep-bench target).
 REPRO_BENCH_WORKERS ?= 4
 
-.PHONY: install test bench bench-full sweep-bench sweep-tests engine-bench faults-bench obs-bench examples artifacts clean
+.PHONY: install test bench bench-full sweep-bench sweep-tests engine-bench faults-bench obs-bench perfbench-tests examples artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -52,6 +52,11 @@ faults-bench:
 # run (REPRO_OBS_TOLERANCE to adjust); also times the JSONL trace writer.
 obs-bench:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
+
+# The repository benchmark's own tests (perfbench/tests is outside the
+# tier-1 testpaths, so `make test` does not collect them).
+perfbench-tests:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex || exit 1; done

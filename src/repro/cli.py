@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "same-trace specs advanced lock-step per execution unit "
+            "same-trace specs sharing one decoded trace per execution unit "
             "(default: $REPRO_BATCH_SIZE, else adaptive up to 16; 1 disables batching)"
         ),
     )

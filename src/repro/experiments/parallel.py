@@ -170,9 +170,9 @@ class RunOutcome:
     #: the run finished — the sweep-level peak is the memory a worker
     #: actually needs (0 for cache hits and platforms without getrusage).
     worker_rss_kb: int = 0
-    #: Lanes of the lock-step batch this run executed in (1 = plain scalar
-    #: execution; >1 = :func:`repro.sim.batch.simulate_batch` with that many
-    #: same-trace configs advancing together).
+    #: Lanes of the :func:`repro.sim.batch.simulate_batch` call this run
+    #: executed in (1 = a one-lane ``simulate_batch``; >1 = that many
+    #: same-trace configs run one after another over one decoded trace).
     batch_width: int = 1
 
     @property
@@ -204,10 +204,13 @@ def _result_to_point(spec: RunSpec, result: SimResult) -> SweepPoint:
 
 
 def simulate_spec(spec: RunSpec) -> SweepPoint:
-    """Materialize ``spec`` and run its simulation to one sweep point.
+    """Materialize ``spec`` and run it on the scalar engine to one point.
 
-    This is the single execution path shared by the serial loop and the
-    pool workers, which is what guarantees worker/in-process parity.
+    This is the scalar *reference*, not the execution path: sweeps run
+    through :func:`execute_batch` (the array fast lane where eligible),
+    and the parity tests compare its points against this one —
+    :func:`~repro.experiments.runner.run_point`, then
+    :meth:`~repro.sim.engine.Simulation.run`.
     """
     result = run_point(
         spec.workload.materialize(),
@@ -227,7 +230,7 @@ def _spec_batch_config(spec: RunSpec, workload=None) -> BatchConfig:
 
     ``workload`` is the per-lane workload override (``None`` inherits the
     batch's shared workload) — how load points of one base trace stack into
-    a single lock-step batch.
+    a single batch.
     """
     return BatchConfig(
         cluster=spec.cluster.materialize(),
@@ -289,64 +292,39 @@ def _peak_rss_kb() -> int:
 
 
 def execute_spec(spec: RunSpec) -> RunOutcome:
-    """Run one spec, capturing any exception into the outcome envelope.
-
-    Module-level (hence picklable) — this is the function shipped to pool
-    workers.
-    """
-    t0 = time.perf_counter()
-    try:
-        point = simulate_spec(spec)
-        return RunOutcome(
-            spec=spec,
-            point=point,
-            wall_time=time.perf_counter() - t0,
-            worker_rss_kb=_peak_rss_kb(),
-        )
-    except Exception:
-        return RunOutcome(
-            spec=spec,
-            point=None,
-            error=traceback.format_exc(),
-            wall_time=time.perf_counter() - t0,
-            worker_rss_kb=_peak_rss_kb(),
-        )
-    finally:
-        # Keep at most one materialized job list live per process: the memo
-        # caches keep the (cheap) columns, so peak RSS stays near one trace.
-        trim_materialized_workloads()
+    """Run one spec: a one-lane :func:`execute_batch`."""
+    return execute_batch([spec])[0]
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
     """Run a batch of specs in this process, one outcome per spec, in order.
 
-    The batch is the pool scheduling unit (see ``_PoolExecution``): specs
-    sharing a base workload travel together, so one worker amortizes a
-    single base materialization (or shared-memory attach) across the whole
-    batch and the executor pays one future round-trip instead of one per
-    spec.
+    This is the only execution function: module-level (hence picklable),
+    it is what pool workers run, and :func:`execute_spec` is a one-spec
+    batch.  The batch is the pool scheduling unit (see
+    ``_PoolExecution``): specs sharing a base workload travel together, so
+    one worker amortizes a single base materialization (or shared-memory
+    attach) across the whole batch and the executor pays one future
+    round-trip instead of one per spec.
 
     Specs sharing the same *base* trace (identical ``WorkloadSpec`` up to
-    the load scaling — :meth:`WorkloadSpec.base_key`) additionally advance
-    in lock-step through :func:`repro.sim.batch.simulate_batch`: load
-    scaling rewrites only the arrival schedule, so lanes at different load
-    points carry per-lane workload overrides while the whole group pays a
-    single call.  The batched engine is gated bit-identical to the scalar
-    one (``tests/sim/test_engine_fingerprints``), so results are exactly
-    what per-spec execution would have produced; the group's wall clock is
-    split evenly across its members and each outcome records the
-    ``batch_width`` it ran at.  Any failure inside a lock-step group falls
-    back to per-spec execution, so one bad spec reports its own error
-    instead of sinking its batch-mates.
+    the load scaling — :meth:`WorkloadSpec.base_key`) form one
+    :func:`repro.sim.batch.simulate_batch` call, a group of one included:
+    the trace is decoded once and the lanes run one after another over it,
+    load points carrying per-lane workload overrides (load scaling rewrites
+    only the arrival schedule).  Every lane is gated bit-identical to the
+    scalar engine (``tests/sim/test_engine_fingerprints``), so points are
+    exactly :func:`simulate_spec`'s; the group's wall clock is split evenly
+    across its members and each outcome records the ``batch_width`` it ran
+    at.  When a wider group fails, each member re-runs alone through this
+    function, so one bad spec reports its own error instead of sinking its
+    batch-mates; a group of one that fails records its traceback.
     """
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
     groups: Dict[object, List[int]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.workload.base_key(), []).append(idx)
     for indices in groups.values():
-        if len(indices) == 1:
-            outcomes[indices[0]] = execute_spec(specs[indices[0]])
-            continue
         members = [specs[idx] for idx in indices]
         t0 = time.perf_counter()
         try:
@@ -384,15 +362,27 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
                     batch_width=len(indices),
                 )
         except Exception as exc:
+            if len(indices) == 1:
+                outcomes[indices[0]] = RunOutcome(
+                    spec=members[0],
+                    point=None,
+                    error=traceback.format_exc(),
+                    wall_time=time.perf_counter() - t0,
+                    worker_rss_kb=_peak_rss_kb(),
+                )
+                continue
             logger.warning(
-                "lock-step batch of %d specs failed (%s); re-running "
-                "per-spec to isolate the failure",
+                "batch of %d specs failed (%s); re-running per-spec to "
+                "isolate the failure",
                 len(indices),
                 exc,
             )
             for idx in indices:
-                outcomes[idx] = execute_spec(specs[idx])
+                outcomes[idx] = execute_batch([specs[idx]])[0]
         finally:
+            # Keep at most one materialized job list live per process: the
+            # memo caches keep the (cheap) columns, so peak RSS stays near
+            # one trace.
             trim_materialized_workloads()
     return outcomes
 
@@ -567,9 +557,9 @@ class SweepProfile:
     n_pool_rebuilds: int
     n_resumed: int
     slowest: Tuple[Tuple[str, float], ...] = ()
-    #: Executed runs that advanced in a lock-step batch (``batch_width > 1``).
+    #: Executed runs that shared a batch with others (``batch_width > 1``).
     n_batched: int = 0
-    #: Mean ``batch_width`` across executed runs (1.0 = all scalar).
+    #: Mean ``batch_width`` across executed runs (1.0 = all one-lane).
     mean_batch_width: float = 1.0
 
     @property
@@ -732,10 +722,11 @@ def run_sweep(
 ) -> SweepReport:
     """Execute every spec, in parallel when ``max_workers > 1``.
 
-    ``batch_size`` caps how many same-trace specs advance lock-step through
-    :func:`repro.sim.batch.simulate_batch` per execution unit (1 disables
-    batching); it defaults to :func:`default_batch_size` (the
-    ``REPRO_BATCH_SIZE`` environment variable / ``--batch-size`` CLI flag).
+    ``batch_size`` caps how many same-trace specs share one
+    :func:`repro.sim.batch.simulate_batch` call per execution unit (1 runs
+    every spec as a one-lane batch); it defaults to
+    :func:`default_batch_size` (the ``REPRO_BATCH_SIZE`` environment
+    variable / ``--batch-size`` CLI flag).
 
     Cache and checkpoint lookups happen up front in the parent process;
     only misses are dispatched, and each result is written back the moment
@@ -874,9 +865,15 @@ def _run_with_retries(
     retry_backoff: float,
     stats: _ExecutionStats,
     rng: Optional[random.Random] = None,
+    outcome: Optional[RunOutcome] = None,
 ) -> RunOutcome:
-    """In-process execution with the same bounded-retry policy as the pool."""
-    outcome = execute_spec(spec)
+    """In-process execution with the same bounded-retry policy as the pool.
+
+    ``outcome`` is a first attempt already made (e.g. inside a batch);
+    retries always re-run the spec alone, as the pool's do.
+    """
+    if outcome is None:
+        outcome = execute_spec(spec)
     attempt = 0
     while not outcome.ok and attempt < max_retries:
         attempt += 1
@@ -889,7 +886,7 @@ def _run_with_retries(
 def _same_workload_batches(
     specs: Sequence[RunSpec], batch_size: int, workers: int = 1
 ) -> List[List[int]]:
-    """Spec indices batched by base trace, at adaptive lock-step width.
+    """Spec indices batched by base trace, at adaptive width.
 
     Grouping is by ``WorkloadSpec.base_key()`` — the base trace provenance
     with the load scaling factored out — regardless of submission order:
@@ -900,11 +897,12 @@ def _same_workload_batches(
     workload override.
 
     Width adapts to each group's same-trace depth: a group runs as few
-    lock-step units as the ``batch_size`` cap allows, so a deep stack of
-    configs over one trace rides one shared event frontier instead of a
-    fixed-width chunking.  A pooled sweep (``workers > 1``) splits deep
-    stacks further when the grid has fewer groups than workers, so enough
-    units stay in flight that batching never starves the pool.  Within a
+    units as the ``batch_size`` cap allows, so a deep stack of configs over
+    one trace shares one decoded trace (its lanes run one after another
+    over it) instead of a fixed-width chunking.  A pooled sweep
+    (``workers > 1``) splits deep stacks further when the grid has fewer
+    groups than workers, so enough units stay in flight that batching
+    never starves the pool.  Within a
     unit, specs over the *identical* workload (same load point) sit
     adjacent and whole same-load stacks travel together wherever the
     width allows, so each unit decodes — and holds resident — as few
@@ -976,28 +974,14 @@ def _execute_all(
     else:
         rng = random.Random(0x0B0FF)
         for batch in _same_workload_batches(specs, batch_size):
-            if len(batch) == 1:
-                j = batch[0]
+            outcomes = execute_batch([specs[j] for j in batch])
+            for j, outcome in zip(batch, outcomes):
                 finish(
                     j,
                     _run_with_retries(
-                        specs[j], max_retries, retry_backoff, stats, rng
+                        specs[j], max_retries, retry_backoff, stats, rng,
+                        outcome,
                     ),
-                )
-                continue
-            outcomes = execute_batch([specs[j] for j in batch])
-            for j, outcome in zip(batch, outcomes):
-                # Same bounded-retry policy as the singleton path; retries
-                # re-run the spec alone (matching the pool's convention that
-                # retries always travel outside batches).
-                attempt = 0
-                while not outcome.ok and attempt < max_retries:
-                    attempt += 1
-                    stats.n_retries += 1
-                    time.sleep(_backoff_delay(retry_backoff, attempt, rng))
-                    outcome = execute_spec(specs[j])
-                finish(
-                    j, replace(outcome, retries=attempt) if attempt else outcome
                 )
     return results
 
@@ -1066,14 +1050,13 @@ class _PoolExecution:
         self.shm_store = SharedBaseStore()
 
     def _initial_batches(self) -> List[List[int]]:
-        """Spec indices grouped by workload, in near-spec order.
+        """Spec indices grouped by base trace, in near-spec order.
 
-        Grouping is by the full ``WorkloadSpec`` so every batch can advance
-        lock-step through ``simulate_batch`` (same-workload members), and
-        chunks run at the configured width — a wider batch amortizes the
-        shared arrival decode better, which now beats the old
-        spread-thin-for-scheduling heuristic.  With a per-spec ``timeout``
-        every batch is a singleton (see the class docstring).
+        Grouping is by ``WorkloadSpec.base_key()`` so every batch is one
+        ``simulate_batch`` call per base trace (see
+        :func:`_same_workload_batches`) — a wider batch amortizes the shared
+        arrival decode better.  With a per-spec ``timeout`` every batch is
+        a singleton (see the class docstring).
         """
         if self.timeout is not None:
             return [[j] for j in range(len(self.specs))]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -127,9 +128,7 @@ class WorkloadSpec:
             return cached
         _CACHE_STATS["scaled_workload_misses"] += 1
         scaled = scale_load(_base_workload(self), self.load)
-        if len(_SCALED_WORKLOADS) >= _SCALED_WORKLOADS_MAX:
-            _SCALED_WORKLOADS.pop(next(iter(_SCALED_WORKLOADS)))
-        _SCALED_WORKLOADS[key] = scaled
+        _memo_put(_SCALED_WORKLOADS, key, scaled, _SCALED_WORKLOADS_MAX)
         return scaled
 
     def fingerprint(self) -> str:
@@ -157,16 +156,30 @@ class WorkloadSpec:
 #: Three layers, cheapest-to-derive last:
 #:  * base workloads (``base_key()``): the parse/generate cost,
 #:  * load-scaled workloads (``base_key() + (load,)``): the arrival rescale,
-#:  * clusters (``(second_tier_mem, strategy)``): safe to share because
-#:    :meth:`repro.sim.engine.Simulation.run` resets the cluster before
-#:    every run, and the capacity ladder (plus its rounding memos) is
-#:    immutable — re-using it across runs is pure win.
+#:  * clusters (``(thread, second_tier_mem, strategy)``): a run mutates
+#:    its cluster, resetting it first, so sequential runs in one thread
+#:    share one instance (and the ladder's rounding memos) — but two
+#:    sweeps in concurrent threads of one process (the service runs
+#:    several) would corrupt each other's allocations, hence the thread
+#:    in the key.
 _BASE_WORKLOADS: Dict[Tuple, Workload] = {}
 _BASE_WORKLOADS_MAX = 4
 _SCALED_WORKLOADS: Dict[Tuple, Workload] = {}
 _SCALED_WORKLOADS_MAX = 16
 _CLUSTERS: Dict[Tuple, Cluster] = {}
 _CLUSTERS_MAX = 16
+
+#: Guards memo eviction, which concurrent sweeps in one process race on.
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo_put(memo: Dict[Tuple, Any], key: Tuple, value: Any, cap: int) -> None:
+    """Insert into a bounded memo, evicting its oldest entry when full."""
+    with _MEMO_LOCK:
+        if len(memo) >= cap:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = value
+
 
 #: Zero-copy base workloads published by the sweep executor, by
 #: ``base_key()``.  Installed into each pool worker by the pool initializer
@@ -227,9 +240,8 @@ def trim_materialized_workloads() -> None:
     columns stay cached, making the next run's re-materialization a cheap
     bulk pass rather than a re-parse (cache hit/miss counters unaffected).
     """
-    for workload in _BASE_WORKLOADS.values():
-        workload.release_materialized()
-    for workload in _SCALED_WORKLOADS.values():
+    # Snapshots: another thread's sweep may be inserting meanwhile.
+    for workload in [*_BASE_WORKLOADS.values(), *_SCALED_WORKLOADS.values()]:
         workload.release_materialized()
 
 
@@ -271,9 +283,7 @@ def _base_workload(spec: WorkloadSpec) -> Workload:
             raise ValueError(f"unknown workload source {spec.source!r}")
         if spec.drop_full_machine:
             workload = drop_full_machine_jobs(workload)
-    if len(_BASE_WORKLOADS) >= _BASE_WORKLOADS_MAX:
-        _BASE_WORKLOADS.pop(next(iter(_BASE_WORKLOADS)))
-    _BASE_WORKLOADS[key] = workload
+    _memo_put(_BASE_WORKLOADS, key, workload, _BASE_WORKLOADS_MAX)
     return workload
 
 
@@ -295,19 +305,17 @@ class ClusterSpec:
     strategy: str = "best_fit"
 
     def materialize(self) -> Cluster:
-        # Memoized per process: Simulation.run() resets the cluster before
-        # every run, so sequential runs can share one instance — and they
-        # then also share the ladder's immutable rounding memos.
-        key = (self.second_tier_mem, self.strategy)
+        # Memoized per process and thread: every run resets the cluster
+        # before it starts, so sequential runs can share one instance (and
+        # the ladder's rounding memos), concurrent sweeps cannot.
+        key = (threading.get_ident(), self.second_tier_mem, self.strategy)
         cached = _CLUSTERS.get(key)
         if cached is not None:
             _CACHE_STATS["cluster_hits"] += 1
             return cached
         _CACHE_STATS["cluster_misses"] += 1
         cluster = paper_cluster(self.second_tier_mem, strategy=self.strategy)
-        if len(_CLUSTERS) >= _CLUSTERS_MAX:
-            _CLUSTERS.pop(next(iter(_CLUSTERS)))
-        _CLUSTERS[key] = cluster
+        _memo_put(_CLUSTERS, key, cluster, _CLUSTERS_MAX)
         return cluster
 
 
@@ -396,9 +404,10 @@ class RunSpec:
     seed: int = 0  # failure-model seed (fixed across load points of a sweep)
     label: str = ""
     faults: FaultSpec = field(default_factory=FaultSpec)
-    #: Keep the per-attempt trace when this spec runs through the lock-step
-    #: batch executor (scalar execution always collects).  Off by default:
-    #: sweep points aggregate, so most lanes skip the per-attempt records.
+    #: Keep the per-attempt trace when this spec runs through the batch
+    #: executor (the scalar reference ``simulate_spec`` always collects).
+    #: Off by default: sweep points aggregate, so most lanes skip the
+    #: per-attempt records.
     collect_attempts: bool = False
 
     @property

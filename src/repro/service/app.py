@@ -304,7 +304,8 @@ class SweepService:
         return _json_response(201 if created else 200, response)
 
     async def _result(self, record: RunRecord, query: Dict[str, str]) -> bytes:
-        if query.get("wait") not in (None, "", "0", "false"):
+        wait = query.get("wait") not in (None, "", "0", "false")
+        if wait and record.done is not None:  # None once finished
             await record.done.wait()
         if record.state == FAILED:
             return _json_response(500, record.status_dict())
@@ -312,8 +313,7 @@ class SweepService:
             doc = record.status_dict()
             doc["error"] = "run not finished; poll, stream /events, or ?wait=1"
             return _json_response(409, doc)
-        assert self.registry is not None
-        return _json_response(200, self.registry.result_document(record))
+        return _response(200, record.result_body())
 
     async def _stream_events(
         self, record: RunRecord, writer: asyncio.StreamWriter
@@ -327,9 +327,14 @@ class SweepService:
             ).encode("ascii")
         )
         try:
-            async for event in record.log.subscribe():
-                writer.write(encode_chunk(event_line(event)))
-                await writer.drain()
+            body = record.events_body()
+            if body is not None:
+                # A finished run: its whole stream, rendered once.
+                writer.write(body)
+            else:
+                async for event in record.log.subscribe():
+                    writer.write(encode_chunk(event_line(event)))
+                    await writer.drain()
             writer.write(LAST_CHUNK)
             await writer.drain()
         except (ConnectionError, OSError):

@@ -27,8 +27,10 @@ parent-process hook straight into the record's
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 import traceback
+import zlib
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -37,7 +39,7 @@ from repro.experiments.cache import SweepCache
 from repro.experiments.parallel import RunOutcome, SweepReport, run_sweep
 from repro.experiments.specs import RunSpec
 from repro.service.schemas import outcome_to_dict, report_to_dict, sweep_key
-from repro.service.streaming import EventLog
+from repro.service.streaming import EventLog, encode_chunk, event_line
 
 #: Run lifecycle: pending (queued behind the worker pool) -> running ->
 #: completed | failed.  "completed" includes sweeps with failed points —
@@ -50,14 +52,27 @@ FAILED = "failed"
 
 RUN_STATES = (PENDING, RUNNING, COMPLETED, FAILED)
 
+#: Indent of the service's JSON response bodies.
+_INDENT = 2
 
-@dataclass
+
+@dataclass(slots=True)
 class RunRecord:
-    """One distinct sweep: its specs, lifecycle, progress, and result."""
+    """One distinct sweep: its lifecycle, progress, and result.
+
+    While the run is pending or running the record holds its parsed specs,
+    its live event log and a ``done`` event.  When it finishes it is
+    compacted to its counters plus two rendered, zlib-compressed byte
+    strings — the event stream's chunked body and the ``result``
+    sub-document — which are served as they are, decompressed but never
+    re-parsed (a long-lived service keeps 1-2 KB per finished run, not
+    the parsed specs, report and event dicts).
+    """
 
     run_id: str
     key: str
-    specs: List[RunSpec]
+    n_specs: int
+    specs: Optional[List[RunSpec]] = None
     experiment: Optional[str] = None
     state: str = PENDING
     created_at: float = 0.0
@@ -71,14 +86,35 @@ class RunRecord:
     #: Times run_sweep was actually entered for this record — the
     #: at-most-once guarantee is ``n_executions <= 1``.
     n_executions: int = 0
-    report: Optional[SweepReport] = None
     error: Optional[str] = None
-    log: EventLog = field(default_factory=EventLog)
-    done: asyncio.Event = field(default_factory=asyncio.Event)
+    log: Optional[EventLog] = field(default_factory=EventLog)
+    done: Optional[asyncio.Event] = field(default_factory=asyncio.Event)
+    #: Finished runs only: the event stream's chunk-encoded body (terminal
+    #: chunk excluded), byte-identical to streaming the closed log;
+    #: zlib-compressed (see :meth:`events_body`).
+    events_z: Optional[bytes] = None
+    #: Completed runs only: the ``result`` sub-document, rendered at its
+    #: nesting depth in the ``/result`` body, zlib-compressed (see
+    #: :meth:`result_body`).
+    result_z: Optional[bytes] = None
 
-    @property
-    def n_specs(self) -> int:
-        return len(self.specs)
+    def events_body(self) -> Optional[bytes]:
+        """A finished run's chunk-encoded event stream (None while live)."""
+        return None if self.events_z is None else zlib.decompress(self.events_z)
+
+    def result_body(self) -> bytes:
+        """The ``GET /runs/{id}/result`` body of a completed run.
+
+        Byte-identical to ``json.dumps({**status, "result": result},
+        indent=2) + "\\n"`` (the service's JSON response layout), but the
+        result is spliced in as rendered when the run finished instead of
+        being rebuilt per request.
+        """
+        assert self.result_z is not None
+        status = json.dumps(self.status_dict(), indent=_INDENT)
+        # ``status`` ends with "\n}": reopen it for one more member.
+        head = f'{status[:-2]},\n{" " * _INDENT}"result": '.encode("utf-8")
+        return head + zlib.decompress(self.result_z) + b"\n}\n"
 
     def status_dict(self) -> Dict[str, Any]:
         """The record as the ``GET /runs/{id}`` JSON document."""
@@ -146,6 +182,7 @@ class RunRegistry:
         record = RunRecord(
             run_id=key[:16],
             key=key,
+            n_specs=len(specs),
             specs=list(specs),
             experiment=experiment,
             created_at=time.time(),
@@ -213,8 +250,28 @@ class RunRegistry:
         record.finished_at = time.time()
         record.done.set()
 
+    @staticmethod
+    def _compact(record: RunRecord) -> None:
+        """Reduce a finished record to counters and rendered bytes.
+
+        Waiters on ``done`` and subscribers of the closed log hold their
+        own references, so dropping the record's is safe.
+        """
+        record.events_z = zlib.compress(
+            b"".join(encode_chunk(event_line(e)) for e in record.log.events)
+        )
+        record.log = None
+        record.done = None
+        record.specs = None
+
     def _mark_completed(self, record: RunRecord, report: SweepReport) -> None:
-        record.report = report
+        # Rendered at depth 1 of the /result body: JSON strings hold no raw
+        # newlines, so indenting every line break nests the document.
+        record.result_z = zlib.compress(
+            json.dumps(report_to_dict(report), indent=_INDENT)
+            .replace("\n", "\n" + " " * _INDENT)
+            .encode("utf-8")
+        )
         # Trust the report over incrementally-streamed counters (identical
         # unless the loop dropped a callback during shutdown).
         record.n_done = report.n_runs
@@ -233,6 +290,7 @@ class RunRegistry:
             }
         )
         record.log.close()
+        self._compact(record)
 
     def _mark_failed(self, record: RunRecord, error: str) -> None:
         record.error = error
@@ -241,6 +299,7 @@ class RunRegistry:
             {"event": "run_failed", "run_id": record.run_id, "error": error}
         )
         record.log.close()
+        self._compact(record)
 
     # ------------------------------------------------------------- metrics
     def metric_families(self) -> List[Tuple[str, str, List[Tuple[Dict[str, str], Any]]]]:
@@ -296,10 +355,3 @@ class RunRegistry:
             ),
         ]
         return families
-
-    def result_document(self, record: RunRecord) -> Dict[str, Any]:
-        """The ``GET /runs/{id}/result`` body for a completed record."""
-        assert record.report is not None
-        doc = record.status_dict()
-        doc["result"] = report_to_dict(record.report)
-        return doc

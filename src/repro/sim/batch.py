@@ -1,4 +1,4 @@
-"""Array-native batched engine: advance K configs over one trace lock-step.
+"""Array-native batched engine: run K configs over one decoded trace.
 
 A parameter sweep replays the *same* arrival stream through the scalar
 engine once per (estimator, policy, cluster, fault) configuration; at ~35k
@@ -35,14 +35,14 @@ Two lane implementations sit behind one driver:
   which replays ``run()``'s per-event sequence verbatim.  Slower, but the
   bit-identical guarantee holds for the *whole* configuration space.
 
-Lanes share no mutable state, so the cross-lane interleaving of events is
-unobservable: replaying each lane's full event sequence in turn produces
-byte-identical results to advancing all lanes behind one merged frontier,
-at a fraction of the dispatch cost.  Each lane's own run loop preserves the
-scalar event order: internal events (completions, node faults/repairs) live
-on the lane's heap keyed ``(time, kind)`` exactly as the scalar heap orders
-them, and a heap event beats an arrival at the same instant iff its kind
-sorts before ``EventKind.ARRIVAL`` — the scalar tie-break.  Fast-lane heaps
+Lanes run one after another over the shared decoded trace: each lane is
+built, replays its full event sequence, and is finished before the next
+starts.  Lanes share no mutable state, so the order in which they run is
+unobservable.  Each lane's own run loop preserves the scalar event order:
+internal events (completions, node faults/repairs) live on the lane's heap
+keyed ``(time, kind)`` exactly as the scalar heap orders them, and a heap
+event beats an arrival at the same instant iff its kind sorts before
+``EventKind.ARRIVAL`` — the scalar tie-break.  Fast-lane heaps
 hold only completions (kind 0), so their arrival check reduces to
 ``heap[0][0] <= t_arrival``.
 
@@ -331,11 +331,11 @@ class _FastLane:
     group-state rows handed down from the ``(K, G)`` seed matrices); queue
     entries are mutable ``[row, attempt, requirement, enqueue_time,
     req_version, req_idx]`` lists; completions are raw heap tuples.  The
-    scheduling pass is policy-dispatched (``self.sched``) but all three
-    disciplines share the same refresh/allocate/outcome blocks, inlined
-    with the scalar float-op order.  Attempt records and job summaries are
-    assembled *after* the run from accumulated scalars, so the per-event
-    path allocates almost nothing.
+    scheduling pass is policy-dispatched (``self.sched(self, now)``) but
+    all three disciplines share the same refresh/allocate/outcome blocks,
+    inlined with the scalar float-op order.  Attempt records and job
+    summaries are assembled *after* the run from accumulated scalars, so
+    the per-event path allocates almost nothing.
     """
 
     __slots__ = (
@@ -426,12 +426,15 @@ class _FastLane:
         self.track_running = kind is EasyBackfilling
         self.running: Dict[int, tuple] = {}
         self.is_fcfs = kind is Fcfs
+        # The plain function, not a bound method: a bound method stored on
+        # the lane would make every lane a reference cycle that only the
+        # cyclic GC could free.
         if kind is Fcfs:
-            self.sched = self._sched_fcfs
+            self.sched = _FastLane._sched_fcfs
         elif kind is ShortestJobFirst:
-            self.sched = self._sched_sjf
+            self.sched = _FastLane._sched_sjf
         else:
-            self.sched = self._sched_bf
+            self.sched = _FastLane._sched_bf
         if kind is not Fcfs:
             self.c_rte = trace.runtime_estimates()
         else:
@@ -693,7 +696,7 @@ class _FastLane:
         # pass for tail appends while the head stays blocked; an append to
         # an empty queue is the new head and always wakes.
         if self.wake or len(queue) == 1:
-            self.sched(now)
+            self.sched(self, now)
 
     def _requeue_failed(self, now: float, i: int, attempt: int) -> None:
         """Scalar _enqueue(attempt>0, at_head=True): a failed resubmission."""
@@ -1062,15 +1065,14 @@ class _FastLane:
         # Capacity was freed (and a failed job may have re-entered at the
         # head): the scalar engine's post-event pass always runs here.
         if self.queue:
-            self.sched(now)
+            self.sched(self, now)
 
     def run(self) -> None:
         """Replay the whole trace through this lane.
 
         The lane's heap holds completions only (kind 0), which sort before
         an arrival (kind 2) at the same instant — so the scalar tie-break
-        reduces to ``heap[0][0] <= t_arrival``.  Lanes share no state, so
-        per-lane replay is event-order-identical to lock-step interleaving.
+        reduces to ``heap[0][0] <= t_arrival``.
 
         FCFS — the paper's discipline and the bulk of every sweep — takes
         the fully inlined :meth:`_run_fcfs` driver; SJF/backfilling use the
@@ -1646,38 +1648,25 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
     )
 
 
-def _clone_cluster(cluster: Cluster) -> Cluster:
-    """A fresh Cluster with the same tiers/strategy (declared order kept,
-    so first_fit allocation order survives the clone)."""
-    return Cluster(
-        tiers=[
-            (cluster.total_at_level(lvl), lvl)
-            for lvl in cluster._declared_order
-        ],
-        strategy=cluster.strategy,
-        name=cluster.name,
-    )
-
-
 def simulate_batch(
     workload: Workload,
     configs: Sequence[BatchConfig],
     collect_attempts: bool = True,
 ) -> List[SimResult]:
-    """Run K configurations over one shared workload in lock-step.
+    """Run K configurations over one shared workload, one lane at a time.
 
-    Results are returned in config order; each is bit-identical to
-    :func:`repro.sim.engine.simulate` run with the same parameters.
-    ``collect_attempts`` applies to every lane unless a config carries its
-    own override (``BatchConfig.collect_attempts``).  A config may also
-    carry its own ``workload`` — lanes share no mutable state, so stacking
-    e.g. several load-scaled variants of one base trace into a single batch
-    is safe; lanes on the same workload object share one decoded trace.
-    Engine lanes mutate their cluster (reset + allocate); when several such
-    lanes share one ``Cluster`` instance (e.g. via the memoized
-    ``ClusterSpec.materialize``), clones are substituted so the lanes
-    cannot corrupt each other.  Fast lanes only read the cluster's
-    inventory.
+    The workload is decoded once into a shared trace; the lanes then run
+    one after another over it.  Results are returned in config order; each
+    is bit-identical to :func:`repro.sim.engine.simulate` run with the same
+    parameters.  ``collect_attempts`` applies to every lane unless a
+    config carries its own override (``BatchConfig.collect_attempts``).  A
+    config may also carry its own ``workload`` — lanes share no mutable
+    state, so stacking e.g. several load-scaled variants of one base trace
+    into a single batch is safe; lanes on the same workload object share
+    one decoded trace.  Engine lanes mutate their cluster (reset +
+    allocate), but each lane runs to completion before the next starts, so
+    lanes handed one ``Cluster`` instance cannot corrupt each other.  Fast
+    lanes only read the cluster's inventory.
     """
     if not configs:
         return []
@@ -1738,54 +1727,39 @@ def simulate_batch(
                     preq[out_row], pidx[out_row],
                 )
 
-    lanes = []
-    live_clusters: set = set()
-    for k, config in enumerate(configs):
+    def _lane(k: int, config: BatchConfig):
         lane_collect = (
             collect_attempts
             if config.collect_attempts is None
             else config.collect_attempts
         )
-        estimator = config.estimator
         if kinds[k]:
-            lanes.append(
-                _FastLane(
-                    lane_traces[k],
-                    config,
-                    estimator if estimator is not None else NoEstimation(),
-                    config.policy if config.policy is not None else Fcfs(),
-                    lane_collect,
-                    group_seeds.get(k),
-                )
+            estimator = config.estimator
+            return _FastLane(
+                lane_traces[k],
+                config,
+                estimator if estimator is not None else NoEstimation(),
+                config.policy if config.policy is not None else Fcfs(),
+                lane_collect,
+                group_seeds.pop(k, None),
             )
-        else:
-            if id(config.cluster) in live_clusters:
-                config = BatchConfig(
-                    cluster=_clone_cluster(config.cluster),
-                    estimator=config.estimator,
-                    policy=config.policy,
-                    seed=config.seed,
-                    spurious_failure_prob=config.spurious_failure_prob,
-                    fault_config=config.fault_config,
-                    record_timeline=config.record_timeline,
-                    observer=config.observer,
-                    collect_attempts=config.collect_attempts,
-                    workload=config.workload,
-                )
-            live_clusters.add(id(config.cluster))
-            lanes.append(
-                _EngineLane(
-                    lane_traces[k], config, config.estimator, config.policy,
-                    lane_collect,
-                )
-            )
+        return _EngineLane(
+            lane_traces[k], config, config.estimator, config.policy,
+            lane_collect,
+        )
 
-    # Lanes share no mutable state, so replaying each lane's event sequence
-    # in turn is observationally identical to advancing all lanes behind a
-    # merged frontier — and skips the per-event cross-lane dispatch that
-    # frontier paid.  Each lane's own loop enforces the scalar per-lane
-    # event order (internal events before same-instant arrivals iff their
-    # kind sorts first).
-    for lane in lanes:
+    # Lanes share no mutable state but the (read-only) decoded traces, so
+    # they run one after another.  Each lane is built right before it runs
+    # and finished right after, so at most one lane's state is live at a
+    # time — and engine lanes handed the same ``Cluster`` instance (the
+    # memoized ``ClusterSpec.materialize`` does this) never overlap: each
+    # resets the cluster when it starts.  Each lane's own loop enforces the
+    # scalar per-lane event order (internal events before same-instant
+    # arrivals iff their kind sorts first).
+    results = []
+    for k, config in enumerate(configs):
+        lane = _lane(k, config)
         lane.run()
-    return [lane.finish() for lane in lanes]
+        results.append(lane.finish())
+        del lane
+    return results

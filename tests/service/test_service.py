@@ -8,6 +8,7 @@ overlapping sweeps at once get results bit-identical to a direct
 
 import http.client
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -18,8 +19,10 @@ from repro.experiments.parallel import run_sweep
 from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec
 from repro.obs import read_trace
 from repro.service import ServiceConfig, ServiceThread
-from repro.service.schemas import spec_to_dict
+from repro.service.registry import RunRegistry
+from repro.service.schemas import report_to_dict, spec_to_dict
 from repro.service.smoke import validate_metrics
+from repro.service.streaming import LAST_CHUNK, encode_chunk, event_line
 
 N_JOBS = 150
 
@@ -235,3 +238,75 @@ class TestConcurrentClients:
             result = json.loads(body)["result"]
             assert result["n_cache_hits"] == len(specs)  # nothing re-simulated
             assert result["profile"]["n_executed"] == 0
+
+
+def raw_get(address, path):
+    """The exact response bytes (headers and chunk framing included)."""
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode("ascii"))
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+class TestFinishedRunCompaction:
+    def test_finished_run_serves_unchanged_bodies(self, tmp_path, monkeypatch):
+        """A finished run keeps only counters and rendered bytes, and its
+        /runs/{id}, /events and /result bodies are byte-identical to
+        rendering the dropped report and event dicts per request."""
+        seen = {}
+        mark_completed = RunRegistry._mark_completed
+        compact = RunRegistry._compact
+
+        def spy_completed(self, record, report):
+            seen["report"] = report
+            mark_completed(self, record, report)
+
+        def spy_compact(record):
+            seen["events"] = list(record.log.events)
+            compact(record)
+            seen["record"] = record
+
+        monkeypatch.setattr(RunRegistry, "_mark_completed", spy_completed)
+        monkeypatch.setattr(RunRegistry, "_compact", staticmethod(spy_compact))
+        config = ServiceConfig(port=0, cache=SweepCache(tmp_path / "cache"))
+        specs = [make_spec(0.5), make_spec(0.7, "successive")]
+        with ServiceThread(config) as address:
+            _, body = request(address, "POST", "/runs", body=submission(specs))
+            run_id = json.loads(body)["run_id"]
+            request(address, "GET", f"/runs/{run_id}/result?wait=1")
+
+            record = seen["record"]
+            assert record.state == "completed"
+            assert record.specs is None and record.log is None
+            assert record.done is None and not hasattr(record, "report")
+
+            def expect_json(doc):
+                return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+            for submissions in (1, 2):
+                status_doc = record.status_dict()
+                assert status_doc["n_submissions"] == submissions
+                status, body = request(address, "GET", f"/runs/{run_id}")
+                assert status == 200 and body == expect_json(status_doc)
+                status, body = request(address, "GET", f"/runs/{run_id}/result")
+                assert status == 200
+                assert body == expect_json(
+                    {**status_doc, "result": report_to_dict(seen["report"])}
+                )
+                raw = raw_get(address, f"/runs/{run_id}/events")
+                assert raw.endswith(
+                    b"\r\n\r\n"
+                    + b"".join(
+                        encode_chunk(event_line(e)) for e in seen["events"]
+                    )
+                    + LAST_CHUNK
+                )
+                # A resubmission still attaches to the compacted record.
+                status, body = request(
+                    address, "POST", "/runs", body=submission(specs)
+                )
+                assert status == 200 and json.loads(body)["created"] is False

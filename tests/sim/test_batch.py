@@ -1,13 +1,15 @@
-"""Unit tests for the batched lock-step engine (:mod:`repro.sim.batch`).
+"""Unit tests for the batched engine (:mod:`repro.sim.batch`).
 
 The fingerprint suite (``test_engine_fingerprints.py``) pins the batched
 engine to the recorded reference digests; these tests cover the rest of the
 contract: scalar parity across estimator families and K widths, lane
-routing, shared-cluster cloning, attempt-collection modes, and the
+routing, lanes sharing one cluster, freeing lane state without the cyclic
+garbage collector, attempt-collection modes, and the
 ``JobColumns`` edge cases (empty traces, zero-runtime jobs) flowing through
 the batched path.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -275,8 +277,9 @@ def test_mixed_fast_and_engine_lanes_coexist(workload):
 
 def test_engine_lanes_sharing_one_cluster_are_cloned(workload):
     """Engine lanes mutate their cluster, so lanes handed the *same*
-    instance (the memoized ``ClusterSpec.materialize`` does this) must be
-    isolated by cloning — results identical to fresh-cluster runs."""
+    instance (the memoized ``ClusterSpec.materialize`` does this) must not
+    overlap: each runs to completion before the next resets the cluster —
+    results identical to fresh-cluster runs."""
     shared = paper_cluster(24.0)
     configs = [
         BatchConfig(
@@ -294,6 +297,35 @@ def test_engine_lanes_sharing_one_cluster_are_cloned(workload):
     )
     assert results[0].fingerprint() == expected
     assert results[1].fingerprint() == expected
+
+
+@pytest.mark.parametrize("estimator", [NoEstimation, SuccessiveApproximation])
+@pytest.mark.parametrize("policy", [Fcfs, ShortestJobFirst, EasyBackfilling])
+@pytest.mark.parametrize("width", [1, 3])
+def test_fast_lanes_leave_no_cyclic_garbage(workload, estimator, policy, width):
+    """Lane state is freed by reference counting alone: a lane holding a
+    bound method of itself would be a cycle only the cyclic GC frees."""
+
+    def run():
+        configs = [
+            BatchConfig(
+                cluster=paper_cluster(24.0),
+                estimator=estimator(),
+                policy=policy(),
+                spurious_failure_prob=0.05,
+            )
+            for _ in range(width)
+        ]
+        return simulate_batch(workload, configs, collect_attempts=False)
+
+    run()  # first use may build module-level caches (once, not per run)
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fast_lane_routing():
